@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "rdf/vocabulary.h"
 #include "sparql/optimizer.h"
@@ -23,6 +24,23 @@ bool IsUnbound(const EncodedTerm& v) {
 bool IsTypePredicate(const TermOrVar& pred) {
   return !IsVar(pred) && AsTerm(pred).is_iri() &&
          AsTerm(pred).lexical() == rdf::kRdfType;
+}
+
+// Visits the concrete predicates a constant property scans in one store
+// (`view`): the stored predicates of its LiteMat interval when reasoning,
+// else its own id. A provisional predicate's interval is its leaf
+// [id, id+1): it is a single direct route — no inference expansion, no
+// base probe (the overlay is the only place its triples can live
+// pre-re-encode).
+template <typename View, typename Visit>
+void ForEachRoutePredicate(const View& view,
+                           std::pair<uint64_t, uint64_t> interval,
+                           bool reasoning, Visit&& visit) {
+  if (!reasoning || store::schema::IsProvisionalId(interval.first)) {
+    visit(interval.first);
+    return;
+  }
+  view.ForEachPredicateIn(interval.first, interval.second, visit);
 }
 
 }  // namespace
@@ -107,8 +125,11 @@ class Executor::Estimator : public CardinalityEstimator {
             interval->first, interval->second);
         return s_const ? std::min<uint64_t>(count, 1) : count;
       }
-      if (s_const) return 4;  // typical typings per individual
+      if (s_const) return ConceptCountOf(AsTerm(tp.subject));
       return store_->type_view().num_triples() + 1;
+    }
+    if (!s_const && o_const && !AsTerm(tp.object).is_literal()) {
+      return CountObjectMatches(p, AsTerm(tp.object));
     }
     // Property counts, hierarchy-aggregated when reasoning (Section 5.1).
     // Provisional predicates have no hierarchy entry or recorded
@@ -146,6 +167,32 @@ class Executor::Estimator : public CardinalityEstimator {
   std::optional<std::pair<uint64_t, uint64_t>> ConceptIntervalFor(
       const std::string& iri) const {
     return store_->ConceptIntervalOf(iri, reasoning_);
+  }
+
+  // Stored concepts of a constant subject: the rows (s, rdf:type, ?o)
+  // yields.
+  uint64_t ConceptCountOf(const rdf::Term& subject) const {
+    const auto sid = store_->dict().InstanceId(subject);
+    if (!sid) return 0;
+    uint64_t count = 0;
+    store_->type_view().ForEachConceptOf(*sid,
+                                         [&count](uint64_t) { ++count; });
+    return count;
+  }
+
+  // Exact (?s, p, <resource>) count over the routes ExtendRegularTp scans,
+  // two wavelet ranks per route.
+  uint64_t CountObjectMatches(const std::string& p,
+                              const rdf::Term& object) const {
+    const auto oid = store_->dict().InstanceId(object);
+    const auto interval = store_->ObjectPropertyIntervalOf(p, reasoning_);
+    if (!oid || !interval) return 0;
+    const store::delta::MergedObjectView view = store_->object_view();
+    uint64_t count = 0;
+    ForEachRoutePredicate(view, *interval, reasoning_, [&](uint64_t pred) {
+      count += view.CountPO(pred, *oid);
+    });
+    return count;
   }
 
   const store::TripleStore* store_;
@@ -338,6 +385,10 @@ Result<BindingTable> Executor::EvaluateBgp(
     } else {
       obs::ProfileNode* node = profile_->AddChild("tp");
       node->detail = PatternToString(tp);
+      // The planner's standalone estimate, next to rows_out below.
+      node->AddStat("est_rows",
+                    static_cast<int64_t>(
+                        Estimator(store_, options_.reasoning).Estimate(tp)));
       tp_node_ = node;
       const ExecutorStats before = stats_;
       obs::ProfileTimer tp_timer(node);
@@ -568,24 +619,17 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
       o_slot.is_const && o_slot.const_term->is_literal();
   if (p_slot.is_const) {
     const std::string& p = p_slot.const_term->lexical();
-    // Object-property routes (skipped when the object is a literal). A
-    // provisional predicate's interval is its leaf [id, id+1): it becomes
-    // a single direct route — no inference expansion, no base probe (the
-    // overlay is the only place its triples can live pre-re-encode).
+    // Object-property routes (skipped when the object is a literal).
     if (!object_is_literal_const) {
       if (const auto interval =
               store_->ObjectPropertyIntervalOf(p, options_.reasoning)) {
         if (store::schema::IsProvisionalId(interval->first)) {
-          const_routes.push_back({false, true, interval->first});
           ++stats_.provisional_routes;
-        } else if (options_.reasoning) {
-          store_->object_view().ForEachPredicateIn(
-              interval->first, interval->second, [&](uint64_t pred) {
-                const_routes.push_back({false, true, pred});
-              });
-        } else {
-          const_routes.push_back({false, true, interval->first});
         }
+        ForEachRoutePredicate(store_->object_view(), *interval,
+                              options_.reasoning, [&](uint64_t pred) {
+                                const_routes.push_back({false, true, pred});
+                              });
       }
     }
     // Datatype routes (skipped when the object is a bound resource).
@@ -595,16 +639,12 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
       if (const auto interval =
               store_->DatatypePropertyIntervalOf(p, options_.reasoning)) {
         if (store::schema::IsProvisionalId(interval->first)) {
-          const_routes.push_back({false, false, interval->first});
           ++stats_.provisional_routes;
-        } else if (options_.reasoning) {
-          store_->datatype_view().ForEachPredicateIn(
-              interval->first, interval->second, [&](uint64_t pred) {
-                const_routes.push_back({false, false, pred});
-              });
-        } else {
-          const_routes.push_back({false, false, interval->first});
         }
+        ForEachRoutePredicate(store_->datatype_view(), *interval,
+                              options_.reasoning, [&](uint64_t pred) {
+                                const_routes.push_back({false, false, pred});
+                              });
       }
     }
   }

@@ -104,7 +104,8 @@ class Executor {
   /// Attaches a trace profile node for the next Execute*: evaluation
   /// appends an "optimize" child (join-order planning time) plus one
   /// "tp/<path>" child per triple-pattern extension — path is merge_join,
-  /// row, or type; stats carry routes considered and rows produced. Nested
+  /// row, or type; stats carry routes considered, the planner's estimate
+  /// (est_rows, for the pattern on its own) and rows produced. Nested
   /// groups (unions) append flat under the same node. Null disables
   /// tracing (the default; tracing is per-query scratch state, so a traced
   /// executor must not be shared across threads).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "rdf/vocabulary.h"
 
@@ -46,39 +47,14 @@ std::vector<size_t> OrderTriplePatterns(
 
   std::vector<bool> used(n, false);
 
-  // getMostSelective(rdf:type), Algorithm 1 line 2: prefer a type pattern
-  // that reaches some other pattern through an SS join.
-  const auto pick_first = [&]() -> size_t {
-    size_t best = n;
-    auto better = [&](size_t i, size_t j) {  // is i better than j?
-      if (j == n) return true;
-      const int ci = HeuristicClass(triples[i]);
-      const int cj = HeuristicClass(triples[j]);
-      if (ci != cj) return ci < cj;
-      return estimate[i] < estimate[j];
-    };
-    for (size_t i = 0; i < n; ++i) {
-      if (!graph.IsTypeNode(i)) continue;
-      bool has_ss = false;
-      for (const QueryGraphEdge& e : graph.EdgesOf(i)) {
-        if (e.type() == JoinType::kSS) has_ss = true;
-      }
-      if (has_ss && better(i, best)) best = i;
-    }
-    if (best != n) return best;
-    // Fall back to the most selective non-type pattern.
-    for (size_t i = 0; i < n; ++i) {
-      if (!graph.IsTypeNode(i) && better(i, best)) best = i;
-    }
-    if (best != n) return best;
-    // Only rdf:type patterns without SS joins remain.
-    for (size_t i = 0; i < n; ++i) {
-      if (better(i, best)) best = i;
-    }
-    return best;
+  // First pattern: the smallest estimate, Heuristic 1 breaking ties.
+  const auto rank = [&](size_t i) {
+    return std::make_pair(estimate[i], HeuristicClass(triples[i]));
   };
-
-  size_t first = pick_first();
+  size_t first = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (rank(i) < rank(first)) first = i;
+  }
   order.push_back(first);
   used[first] = true;
 

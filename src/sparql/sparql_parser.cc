@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <map>
+#include <string>
 
 #include "rdf/vocabulary.h"
 
@@ -56,6 +57,27 @@ class Parser {
   }
 
  private:
+  // One level of group or expression nesting. Every recursive cycle of
+  // the grammar passes through ParseGroup or ParseUnary, which hold one
+  // scope each, so the depth bounds the parser's stack.
+  class NestingScope {
+   public:
+    explicit NestingScope(int* depth) : depth_(depth) { ++*depth_; }
+    ~NestingScope() { --*depth_; }
+    NestingScope(const NestingScope&) = delete;
+    NestingScope& operator=(const NestingScope&) = delete;
+    bool exceeded() const { return *depth_ > kMaxNestingDepth; }
+
+   private:
+    int* depth_;
+  };
+
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "SPARQL line " + std::to_string(line_) + ": nesting deeper than " +
+        std::to_string(kMaxNestingDepth));
+  }
+
   // ------------------------------------------------------------- scanning
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return AtEnd() ? '\0' : text_[pos_]; }
@@ -323,6 +345,8 @@ class Parser {
 
   // --------------------------------------------------------------- groups
   Result<GroupPattern> ParseGroup() {
+    const NestingScope scope(&depth_);
+    if (scope.exceeded()) return TooDeep();
     GroupPattern group;
     SEDGE_RETURN_NOT_OK(Expect('{'));
     for (;;) {
@@ -520,6 +544,8 @@ class Parser {
   }
 
   Result<std::unique_ptr<Expr>> ParseUnary() {
+    const NestingScope scope(&depth_);
+    if (scope.exceeded()) return TooDeep();
     SkipWhitespace();
     if (!AtEnd() && Peek() == '!') {
       Advance();
@@ -623,6 +649,7 @@ class Parser {
   std::string_view text_;
   size_t pos_ = 0;
   int line_ = 1;
+  int depth_ = 0;  // live NestingScopes
   std::map<std::string, std::string> prefixes_;
 };
 

@@ -18,7 +18,13 @@ namespace sedge::sparql {
 ///   triples use '.', ';', ',' and 'a'; terms are IRIs, prefixed names,
 ///   literals ("..."^^dt, "..."@lang, numbers, booleans) and variables.
 ///   Modifiers: LIMIT n, OFFSET n.
+/// Nesting of groups and expressions ('{', '(', unary '!'/'-') deeper
+/// than kMaxNestingDepth fails with kInvalidArgument instead of
+/// exhausting the stack.
 Result<Query> ParseQuery(std::string_view text);
+
+/// Combined group + expression nesting bound of ParseQuery.
+inline constexpr int kMaxNestingDepth = 128;
 
 }  // namespace sedge::sparql
 

@@ -94,21 +94,15 @@ bool MergedObjectView::ScanPO(uint64_t p, uint64_t o,
     }
     return true;
   };
-  if (base_ != nullptr) {
-    if (const auto pos = base_->PredicatePos(p)) {
-      const auto [sb, se] = base_->SubjectRange(*pos);
-      for (uint64_t q = sb; q < se; ++q) {
-        const auto [ob, oe] = base_->ObjectRange(q);
-        const auto [lb, le] = base_->FindObjectInRange(ob, oe, o);
-        if (lb == le) continue;
-        const uint64_t s = base_->SubjectAt(q);
-        if (!emit_adds_below(s + 1)) return false;  // adds with s' <= s
-        if (overlay_->IsTombstoned(p, s, o)) continue;
-        if (!sink(s, o)) return false;
-      }
-    }
-  }
-  return emit_adds_below(~0ULL);
+  // The base hits come off the wavelet RangeSearch in ascending subject
+  // order, so the overlay adds interleave by subject (adds never repeat a
+  // base triple) and tombstones filter hit by hit.
+  const bool base_done =
+      base_ == nullptr || base_->ScanPO(p, o, [&](uint64_t s, uint64_t) {
+        if (!emit_adds_below(s)) return false;
+        return overlay_->IsTombstoned(p, s, o) || sink(s, o);
+      });
+  return base_done && emit_adds_below(~0ULL);
 }
 
 bool MergedObjectView::ScanP(uint64_t p, const PairSink& sink) const {
@@ -178,6 +172,17 @@ uint64_t MergedObjectView::CountForPredicate(uint64_t p) const {
     count += static_cast<uint64_t>(ae - ab);
     count -= static_cast<uint64_t>(de - db);
   }
+  return count;
+}
+
+uint64_t MergedObjectView::CountPO(uint64_t p, uint64_t o) const {
+  uint64_t count = base_ != nullptr ? base_->CountPO(p, o) : 0;
+  if (!HasDeltaFor(p)) return count;
+  // adds ∩ base = ∅ and dels ⊆ base, so the live count is exact.
+  const auto [ab, ae] = overlay_->AddsForPredicate(p);
+  const auto [db, de] = overlay_->TombstonesForPredicate(p);
+  for (const IdTriple* it = ab; it < ae; ++it) count += it->o == o ? 1 : 0;
+  for (const IdTriple* it = db; it < de; ++it) count -= it->o == o ? 1 : 0;
   return count;
 }
 

@@ -168,6 +168,10 @@ class MergedObjectView {
   uint64_t CountForPredicate(uint64_t p) const;
   /// Distinct-subject estimate (delta subjects may repeat base ones).
   uint64_t CountSubjectsForPredicate(uint64_t p) const;
+  /// Exact live (?s, p, o) count, equal to the number of ScanPO hits: the
+  /// base's two wavelet ranks, plus one pass over p's overlay slices
+  /// (adds minus tombstones naming o) when the overlay touches p.
+  uint64_t CountPO(uint64_t p, uint64_t o) const;
 
  private:
   bool HasDeltaFor(uint64_t p) const;

@@ -92,6 +92,14 @@ uint64_t PsoIndex::CountSubjectsForPredicate(uint64_t p) const {
   return se - sb;
 }
 
+uint64_t PsoIndex::CountPO(uint64_t p, uint64_t o) const {
+  const auto pos = PredicatePos(p);
+  if (!pos) return 0;
+  const auto [sb, se] = SubjectRange(*pos);
+  return wt_o_.Rank(bm_so_.Select1(se + 1), o) -
+         wt_o_.Rank(bm_so_.Select1(sb + 1), o);
+}
+
 bool PsoIndex::ScanSP(uint64_t p, uint64_t s, const PairSink& sink) const {
   const auto pos = PredicatePos(p);
   if (!pos) return true;

@@ -87,6 +87,10 @@ class PsoIndex {
   /// Number of (p,s) pairs for predicate `p` (distinct subjects).
   uint64_t CountSubjectsForPredicate(uint64_t p) const;
 
+  /// Exact number of (?s, p, o) matches: two WT_o rank calls over the
+  /// predicate's object region, O(log sigma) — no hit is visited.
+  uint64_t CountPO(uint64_t p, uint64_t o) const;
+
   // -- Triple-pattern scans. All return true if the sink never aborted. ----
 
   /// (s, p, ?o) — Algorithm 3.

@@ -5,6 +5,8 @@
 // parsing, encoding, scanning, ordering or joining surfaces here.
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,6 +22,7 @@
 #include "rdf/vocabulary.h"
 #include "sparql/sparql_parser.h"
 #include "util/rng.h"
+#include "workloads/lubm_generator.h"
 
 namespace sedge {
 namespace {
@@ -786,6 +789,69 @@ TEST(EngineAgreementModes, MergeJoinAndOptimizerOnOffAgree) {
     EXPECT_EQ(counts[0], counts[2]) << q;
     EXPECT_EQ(counts[0], counts[3]) << q;
   }
+}
+
+// With the LUBM ontology and reasoning on, a class pattern SS-joined to a
+// constant-object pattern is planned from the exact object count; the
+// answer must not depend on that choice, nor on the join path: optimizer
+// on/off (off = textual order, class first) × merge join on/off agree.
+TEST(EngineAgreementModes, LubmTypeAndConstantObjectAgreeAcrossModes) {
+  workloads::LubmConfig config;
+  config.departments_per_university = 1;
+  const rdf::Graph graph = workloads::LubmGenerator::Generate(config);
+  Database db;
+  db.LoadOntology(workloads::LubmGenerator::BuildOntology());
+  ASSERT_TRUE(db.LoadData(graph).ok());
+  db.set_reasoning(true);
+
+  std::vector<const rdf::Triple*> edges;  // resource-object properties
+  for (const rdf::Triple& t : graph.triples()) {
+    if (t.object.is_iri() && t.predicate.lexical() != rdf::kRdfType) {
+      edges.push_back(&t);
+    }
+  }
+  ASSERT_FALSE(edges.empty());
+  const std::string ns = workloads::kLubmNs;
+  // Querying through a super-property makes reasoning expand the routes.
+  const std::map<std::string, std::string> super = {
+      {ns + "worksFor", ns + "memberOf"},
+      {ns + "headOf", ns + "worksFor"},
+      {ns + "undergraduateDegreeFrom", ns + "degreeFrom"},
+      {ns + "mastersDegreeFrom", ns + "degreeFrom"},
+      {ns + "doctoralDegreeFrom", ns + "degreeFrom"}};
+  const char* classes[] = {"Person",      "Student",      "Employee",
+                           "Faculty",     "Professor",    "Publication",
+                           "Organization", "Department",  "Course"};
+
+  Rng rng(2024);
+  int nonempty = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const rdf::Triple& e = *edges[rng.Uniform(edges.size())];
+    std::string pred = e.predicate.lexical();
+    const auto up = super.find(pred);
+    if (up != super.end() && rng.Bernoulli(0.5)) pred = up->second;
+    std::string q = "SELECT * WHERE { ?X a <" + ns +
+                    classes[rng.Uniform(std::size(classes))] + "> . ?X <" +
+                    pred + "> <" + e.object.lexical() + "> . ";
+    if (rng.Bernoulli(0.5)) q += "?X <" + ns + "name> ?N . ";
+    q += "}";
+    uint64_t counts[4];
+    int i = 0;
+    for (const bool merge : {true, false}) {
+      for (const bool opt : {true, false}) {
+        db.set_merge_join(merge);
+        db.set_optimizer(opt);
+        const auto r = db.QueryCount(q);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        counts[i++] = r.value();
+      }
+    }
+    EXPECT_EQ(counts[0], counts[1]) << q;
+    EXPECT_EQ(counts[0], counts[2]) << q;
+    EXPECT_EQ(counts[0], counts[3]) << q;
+    if (counts[0] > 0) ++nonempty;
+  }
+  EXPECT_GE(nonempty, 5) << "rng drift: too few non-empty BGPs";
 }
 
 }  // namespace

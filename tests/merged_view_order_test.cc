@@ -5,11 +5,15 @@
 // objects/literals ascending within a (p, s) pair, concepts ascending per
 // subject — with tombstoned base triples skipped and delta adds
 // interleaved (not appended). The RunCursor surfaces must agree with the
-// corresponding per-subject scans.
+// corresponding per-subject scans, and the object-bound scan and count
+// must agree with an oracle of the live triples.
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -224,6 +228,93 @@ TEST_P(MergedViewOrder, StrictBaseOrderSurvivesInterleavedWrites) {
       prev = s;
     });
   }
+}
+
+// (?s, p, o) over base ∪ overlay: ScanPO must emit exactly the live
+// subjects of (p, o), strictly ascending, whatever mix of base hits,
+// overlay adds and tombstones the predicate carries, and CountPO must
+// equal the number of hits — on the fresh base and under live writes.
+TEST_P(MergedViewOrder, ScanPOAndCountPOMatchOracleUnderWrites) {
+  Rng rng(GetParam());
+  const rdf::Graph seed = SeedGraph(rng);
+  Database db;
+  ASSERT_TRUE(db.LoadData(seed).ok());
+  db.set_reasoning(false);
+  db.set_compaction_ratio(0);  // keep the delta live
+
+  // Oracle: the live object triples as (p, o, s) IRIs.
+  using Key = std::tuple<std::string, std::string, std::string>;
+  std::set<Key> live;
+  for (const rdf::Triple& t : seed.triples()) {
+    if (t.object.is_iri() && t.predicate.lexical() != rdf::kRdfType) {
+      live.insert({t.predicate.lexical(), t.object.lexical(),
+                   t.subject.lexical()});
+    }
+  }
+
+  const auto check = [&](const char* phase) {
+    const store::TripleStore& st = db.store();
+    const store::delta::MergedObjectView view = st.object_view();
+    for (uint64_t p = 0; p < kObjectPreds; ++p) {
+      const auto pid = st.dict().ObjectPropertyId(Iri("p", p));
+      ASSERT_TRUE(pid.has_value());
+      for (uint64_t o = 20; o < 31; ++o) {  // o30 is never stored
+        std::vector<uint64_t> want;
+        for (auto it = live.lower_bound({Iri("p", p), Iri("o", o), ""});
+             it != live.end() && std::get<0>(*it) == Iri("p", p) &&
+             std::get<1>(*it) == Iri("o", o);
+             ++it) {
+          const auto sid =
+              st.dict().InstanceId(rdf::Term::Iri(std::get<2>(*it)));
+          ASSERT_TRUE(sid.has_value());
+          want.push_back(*sid);
+        }
+        std::sort(want.begin(), want.end());
+        std::vector<uint64_t> got;
+        const auto oid = st.dict().InstanceId(rdf::Term::Iri(Iri("o", o)));
+        if (oid) {
+          view.ScanPO(*pid, *oid, [&](uint64_t s, uint64_t obj) {
+            EXPECT_EQ(obj, *oid);
+            got.push_back(s);
+            return true;
+          });
+          EXPECT_EQ(view.CountPO(*pid, *oid), got.size())
+              << phase << " p" << p << " o" << o;
+        }
+        EXPECT_EQ(got, want) << phase << " p" << p << " o" << o;
+      }
+    }
+  };
+  check("base");
+
+  for (int step = 0; step < 300; ++step) {
+    rdf::Triple t = Obj(rng.Uniform(24), rng.Uniform(kObjectPreds),
+                        20 + rng.Uniform(10));
+    if (rng.Bernoulli(0.55)) {
+      ASSERT_TRUE(db.Insert(t).ok());
+      live.insert({t.predicate.lexical(), t.object.lexical(),
+                   t.subject.lexical()});
+      continue;
+    }
+    if (!live.empty() && rng.Bernoulli(0.5)) {  // retract a live triple
+      const Key& k = *std::next(live.begin(), rng.Uniform(live.size()));
+      t = {rdf::Term::Iri(std::get<2>(k)), rdf::Term::Iri(std::get<0>(k)),
+           rdf::Term::Iri(std::get<1>(k))};
+    }
+    ASSERT_TRUE(db.Remove(t).ok());
+    live.erase({t.predicate.lexical(), t.object.lexical(),
+                t.subject.lexical()});
+  }
+  // Every predicate carries adds and tombstones at once.
+  const store::delta::ObjectDelta& overlay = db.store().delta()->object();
+  for (uint64_t p = 0; p < kObjectPreds; ++p) {
+    const auto pid = db.store().dict().ObjectPropertyId(Iri("p", p));
+    const auto [ab, ae] = overlay.AddsForPredicate(*pid);
+    const auto [db0, de] = overlay.TombstonesForPredicate(*pid);
+    ASSERT_NE(ab, ae) << "p" << p;
+    ASSERT_NE(db0, de) << "p" << p;
+  }
+  check("overlay");
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInterleavings, MergedViewOrder,

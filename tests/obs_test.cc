@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -456,6 +457,70 @@ TEST_F(QueryProfileLubmTest, ProfiledRowsMatchQueryCount) {
     ASSERT_TRUE(profile.ok() && count.ok()) << spec.id;
     EXPECT_EQ(profile.value().rows, count.value()) << spec.id;
   }
+  db_->set_reasoning(true);
+}
+
+// Each tp span carries the planner's estimate next to the rows it
+// produced. For a lone (?s, p, o) pattern the estimate is the exact
+// wavelet-rank count summed over the same routes the scan takes, so the
+// two must agree — with and without LiteMat reasoning (memberOf expands
+// to worksFor and headOf; degreeFrom has no direct triples at all).
+TEST_F(QueryProfileLubmTest, ObjectBoundPatternEstimateIsExact) {
+  const auto object_of = [](const std::string& local) {
+    for (const rdf::Triple& t : graph_->triples()) {
+      if (t.predicate.lexical() == workloads::kLubmNs + local) {
+        return t.object.lexical();
+      }
+    }
+    return std::string();
+  };
+  const std::pair<const char*, std::string> probes[] = {
+      {"memberOf", object_of("worksFor")},
+      {"takesCourse", object_of("takesCourse")},
+      {"degreeFrom", object_of("undergraduateDegreeFrom")},
+  };
+  for (const bool reasoning : {true, false}) {
+    db_->set_reasoning(reasoning);
+    for (const auto& [local, object] : probes) {
+      ASSERT_FALSE(object.empty()) << local;
+      auto profile = db_->ExplainQuery(
+          "SELECT ?X WHERE { ?X <" + std::string(workloads::kLubmNs) + local +
+          "> <" + object + "> }");
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      const obs::ProfileNode* execute = profile.value().root.Find("execute");
+      ASSERT_NE(execute, nullptr);
+      const obs::ProfileNode* tp = nullptr;
+      for (const auto& child : execute->children) {
+        if (child->name.rfind("tp/", 0) == 0) tp = child.get();
+      }
+      ASSERT_NE(tp, nullptr) << profile.value().ToString();
+      EXPECT_EQ(tp->StatOr("est_rows", -1), tp->StatOr("rows_out", -2))
+          << local << " reasoning=" << reasoning << "\n"
+          << profile.value().ToString();
+      if (reasoning) {
+        EXPECT_GT(tp->StatOr("rows_out", 0), 0) << local;
+      }
+    }
+  }
+  db_->set_reasoning(true);
+}
+
+TEST_F(QueryProfileLubmTest, EveryQ2PatternSpanCarriesEstimate) {
+  const auto queries = workloads::LubmQueries::Standard14(*graph_);
+  const auto& q2 = queries[1];
+  ASSERT_EQ(q2.id, "Q2");
+  db_->set_reasoning(q2.reasoning);
+  auto profile = db_->ExplainQuery(q2.sparql);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  const obs::ProfileNode* execute = profile.value().root.Find("execute");
+  ASSERT_NE(execute, nullptr);
+  uint64_t tp_nodes = 0;
+  for (const auto& child : execute->children) {
+    if (child->name.rfind("tp/", 0) != 0) continue;
+    ++tp_nodes;
+    EXPECT_GE(child->StatOr("est_rows", -1), 0) << child->detail;
+  }
+  EXPECT_GT(tp_nodes, 0u);
   db_->set_reasoning(true);
 }
 

@@ -1,18 +1,22 @@
-// Tests for the SPARQL layer: parser, query graph, optimizer (Algorithm 1),
-// expression evaluation, and the executor end-to-end through sedge::Database.
+// Tests for the SPARQL layer: parser (with its nesting bound), query graph,
+// optimizer (Algorithm 1 with its cost-based start), expression evaluation,
+// and the executor end-to-end through sedge::Database.
 
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/database.h"
 #include "rdf/vocabulary.h"
+#include "sparql/executor.h"
 #include "sparql/optimizer.h"
 #include "sparql/query_graph.h"
 #include "sparql/sparql_parser.h"
+#include "workloads/lubm_generator.h"
 
 namespace sedge::sparql {
 namespace {
@@ -88,6 +92,35 @@ TEST(SparqlParser, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery("SELECT ?x { ?x ex:p ?y }").ok());  // no prefix
   EXPECT_FALSE(ParseQuery("SELECT ?x WHERE { ?x <p> }").ok());
   EXPECT_FALSE(ParseQuery("SELECT ?x WHERE { ?x <p> ?y ").ok());
+}
+
+// A 10^4-deep '(' or '{' used to overflow the stack in the recursive
+// descent (ParseGroup / ParseExpr / ParsePrimary) and crash the process.
+TEST(SparqlParser, RejectsTenThousandNestedParentheses) {
+  const std::string q = "SELECT ?v WHERE { ?s <http://e.org/v> ?v . FILTER " +
+                        std::string(10000, '(') + "?v" +
+                        std::string(10000, ')') + " }";
+  const auto r = ParseQuery(q);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
+TEST(SparqlParser, RejectsTenThousandNestedBraces) {
+  const std::string q = "SELECT ?s WHERE " + std::string(10000, '{') +
+                        " ?s <http://e.org/p> ?o " + std::string(10000, '}');
+  const auto r = ParseQuery(q);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
+TEST(SparqlParser, AcceptsNestingWellBelowTheBound) {
+  const auto q = ParseQuery(
+      "SELECT ?v WHERE {{{ ?s <http://e.org/v> ?v . FILTER " +
+      std::string(20, '(') + "!!?v" + std::string(20, ')') + " }}}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q.value().where.unions.size(), 1u);
 }
 
 // ------------------------------------------------------------- query graph
@@ -174,6 +207,73 @@ TEST(Optimizer, StartsWithSsJoinedTypePattern) {
     }
     EXPECT_TRUE(connected) << "pattern " << order[i] << " disconnected";
   }
+}
+
+// The cost-based start on LUBM: a class pattern SS-joined to a pattern
+// with a constant object (or subject) runs after it, because the index
+// counts the bound pattern exactly and it is far smaller than the class.
+class LubmPlanner : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    workloads::LubmConfig config;
+    config.departments_per_university = 2;
+    graph_ = new rdf::Graph(workloads::LubmGenerator::Generate(config));
+    db_ = new Database();
+    db_->LoadOntology(workloads::LubmGenerator::BuildOntology());
+    ASSERT_TRUE(db_->LoadData(*graph_).ok());
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    delete graph_;
+    db_ = nullptr;
+    graph_ = nullptr;
+  }
+
+  // First triple of the LUBM property `local`, as <subject>, <object>.
+  static std::pair<std::string, std::string> FirstOf(const std::string& local) {
+    for (const rdf::Triple& t : graph_->triples()) {
+      if (t.predicate.lexical() == workloads::kLubmNs + local) {
+        return {"<" + t.subject.lexical() + ">",
+                "<" + t.object.lexical() + ">"};
+      }
+    }
+    return {};
+  }
+
+  static std::vector<size_t> Plan(const std::string& where) {
+    const auto q = ParseQuery(
+        "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+        "SELECT * WHERE { " + where + " }");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    if (!q.ok()) return {};
+    const Executor executor(db_->snapshot(), db_->options());
+    return executor.PlanOrder(q.value().where.triples);
+  }
+
+  static rdf::Graph* graph_;
+  static Database* db_;
+};
+
+rdf::Graph* LubmPlanner::graph_ = nullptr;
+Database* LubmPlanner::db_ = nullptr;
+
+TEST_F(LubmPlanner, CourseStudentsStartsFromConstantObject) {
+  const std::string course = FirstOf("takesCourse").second;
+  ASSERT_FALSE(course.empty());
+  const auto order =
+      Plan("?X a lubm:Student . ?X lubm:takesCourse " + course);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], 1u);
+}
+
+TEST_F(LubmPlanner, TeacherCourseStudentsStartsFromConstantSubject) {
+  const std::string teacher = FirstOf("teacherOf").first;
+  ASSERT_FALSE(teacher.empty());
+  const auto order =
+      Plan("?X a lubm:Student . ?Y a lubm:Course . "
+           "?X lubm:takesCourse ?Y . " + teacher + " lubm:teacherOf ?Y");
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], 3u);
 }
 
 // ------------------------------------------------- end-to-end (Database)

@@ -141,6 +141,26 @@ INSTANTIATE_TEST_SUITE_P(
                       PsoParam{5000, 20, 100, 200, 5},
                       PsoParam{20000, 7, 1000, 1000, 6}));
 
+TEST(PsoIndex, CountPOEqualsScanPOHitsForEveryPair) {
+  Rng rng(7);
+  TripleVec triples;
+  for (int i = 0; i < 600; ++i) {
+    triples.push_back(
+        {rng.Uniform(6) + 1, rng.Uniform(50) + 1, rng.Uniform(30) + 1});
+  }
+  const PsoIndex index = PsoIndex::Build(triples);
+  for (uint64_t p = 0; p < 9; ++p) {  // absent ids 0, 7, 8 included
+    for (uint64_t o = 0; o < 33; ++o) {
+      uint64_t hits = 0;
+      index.ScanPO(p, o, [&hits](uint64_t, uint64_t) {
+        ++hits;
+        return true;
+      });
+      ASSERT_EQ(index.CountPO(p, o), hits) << "p=" << p << " o=" << o;
+    }
+  }
+}
+
 TEST(PsoIndex, OrderingGuaranteesForMergeJoin) {
   Rng rng(11);
   TripleVec triples;
